@@ -60,9 +60,9 @@ def test_throughput_scaling(tpcw_benchmark, capsys, threads, variant) -> None:
 
 
 def test_rows_width_split(tpcw_benchmark, capsys) -> None:
-    """Bytes-per-row / rows-width split of the queryll variant's queries:
-    the projection-pruning half of the throughput story, machine-readable
-    (the same report lands in ``BENCH_ablations.json`` in CI)."""
+    """Bytes-per-row / rows-width split of the queryll variant's queries,
+    optimized vs unoptimized, machine-readable (the same report lands in
+    ``BENCH_ablations.json`` in CI)."""
     report = tpcw_benchmark.run_projection_split()
     for name, entry in report.items():
         assert entry["optimized"]["columns"] <= entry["unoptimized"]["columns"], name

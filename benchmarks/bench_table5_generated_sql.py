@@ -7,7 +7,7 @@ generation) per query, and checks the structural properties the paper
 highlights — in particular that doGetRelated becomes a five-way self-join
 while the hand-written query uses a single OR-join.  It also diffs the
 optimized SQL against the ``OptimizerOptions(optimize=False)`` ablation so
-the projection-pruning effect on every query is visible.
+the optimizer's predicate rewrites on every query are visible.
 """
 
 from __future__ import annotations
@@ -69,12 +69,10 @@ def test_table5_generated_sql(benchmark) -> None:
             )
 
 
-def test_optimizer_narrows_every_entity_query(benchmark) -> None:
-    """Projection pruning must never widen a SELECT list, and must strictly
-    narrow the three entity-returning queries."""
+def test_optimizer_keeps_select_lists(benchmark) -> None:
+    """Entity outputs escape the loop, so the optimizer rewrites predicates
+    but never the SELECT list: both pipelines select the same width."""
     optimized = _generate_all(optimize=True)
     unoptimized = benchmark(lambda: _generate_all(optimize=False))
     for name in optimized:
-        assert _select_width(optimized[name]) <= _select_width(unoptimized[name])
-    for name in ("getCustomer", "doSubjectSearch", "doGetRelated"):
-        assert _select_width(optimized[name]) < _select_width(unoptimized[name])
+        assert _select_width(optimized[name]) == _select_width(unoptimized[name])

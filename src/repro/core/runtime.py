@@ -4,9 +4,7 @@ A rewritten query method no longer iterates the whole database; instead it
 calls :func:`execute_generated_query` with the generated SQL, the values of
 its outer variables and the destination QuerySet.  This module also knows how
 to turn result rows back into entities, Pairs and scalars according to the
-:class:`~repro.core.sqlgen.generator.OutputPlan` produced at rewrite time —
-including rows narrowed by the optimizer's projection pruning, which map to
-partially loaded entities that complete themselves lazily.
+:class:`~repro.core.sqlgen.generator.OutputPlan` produced at rewrite time.
 """
 
 from __future__ import annotations
@@ -49,9 +47,7 @@ def _map_value(
     """Map one result row into the value shape ``plan`` describes.
 
     Entity plans delegate to the EntityManager so the identity map stays
-    authoritative; a plan narrowed by projection pruning materialises a
-    *partially loaded* entity (``plan.partial``) that lazily completes on
-    first access to an unloaded field.
+    authoritative.
     """
     if isinstance(plan, ColumnOutputPlan):
         label = plan.label.lower()
@@ -61,11 +57,7 @@ def _map_value(
         raise RewriteError(f"result set has no column {plan.label!r}")
     if isinstance(plan, EntityOutputPlan):
         return entity_manager.materialise_entity(
-            plan.entity_name,
-            columns,
-            row,
-            column_prefix=plan.column_prefix,
-            partial=plan.partial,
+            plan.entity_name, columns, row, column_prefix=plan.column_prefix
         )
     if isinstance(plan, PairOutputPlan):
         return Pair(

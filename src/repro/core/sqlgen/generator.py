@@ -28,19 +28,15 @@ from repro.errors import RewriteError
 
 @dataclass(frozen=True)
 class EntityOutputPlan:
-    """Result rows contain columns of one entity, with a column prefix.
+    """Result rows contain every column of one entity, with a column prefix.
 
-    ``partial`` is True when projection pruning narrowed the SELECT list to
-    a subset of the entity's mapped columns; the runtime then materialises a
-    *partially loaded* entity that completes itself lazily (and must not
-    poison the identity map — see
-    :meth:`repro.orm.entity_manager.EntityManager.materialise_entity`).
+    An entity output escapes the loop into the returned QuerySet, where the
+    caller may read any field, so it always selects every mapped column.
     """
 
     entity_name: str
     binding: str
     column_prefix: str
-    partial: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,18 +93,16 @@ class SqlGenerator:
     def generate(self, tree: QueryTree) -> GeneratedSql:
         """Generate the SELECT statement for ``tree``.
 
-        When the optimizer filled in ``tree.required_columns``, entity
-        outputs expand to only the consumed columns (projection pruning)
-        instead of every mapped column; identical projected expressions and
-        repeated entity outputs are emitted once (redundant-projection
-        elimination).
+        Entity outputs expand to every mapped column; identical projected
+        expressions and repeated entity outputs are emitted once
+        (redundant-projection elimination).
         """
         if tree.output is None:
             raise RewriteError("query tree has no output")
         renderer = ExpressionRenderer()
 
         select_items: list[str] = []
-        state = _SelectState(tree=tree)
+        state = _SelectState()
         output_plan = self._plan_output(tree.output, select_items, renderer, state)
 
         from_clause = ", ".join(
@@ -193,23 +187,15 @@ class SqlGenerator:
         if cached is not None:
             return cached
         entity_mapping = self._mapping.entity(output.entity_name)
-        required = None
-        if state.tree.required_columns is not None:
-            required = state.tree.required_columns.get(output.binding)
-        emitted = 0
         for column_field in entity_mapping.fields:
-            if required is not None and column_field.column.lower() not in required:
-                continue
             alias = f"{output.binding}_{column_field.column}".upper()
             select_items.append(
                 f"({output.binding}.{column_field.column.upper()}) AS {alias}"
             )
-            emitted += 1
         plan = EntityOutputPlan(
             entity_name=output.entity_name,
             binding=output.binding,
             column_prefix=f"{output.binding.lower()}_",
-            partial=emitted < len(entity_mapping.fields),
         )
         state.entity_plans[output.binding] = plan
         return plan
@@ -219,7 +205,6 @@ class SqlGenerator:
 class _SelectState:
     """Per-generation bookkeeping for select-item deduplication."""
 
-    tree: QueryTree
     #: Projected expression node -> allocated ``COLn`` label.
     column_labels: dict[object, str] = field(default_factory=dict)
     #: Binding alias -> already-emitted entity output plan.

@@ -260,20 +260,15 @@ class EntityManager:
         columns: Sequence[str],
         row: tuple[object, ...],
         column_prefix: str = "",
-        partial: bool = False,
     ) -> Entity:
         """Turn a result row into an entity instance (identity-map aware).
 
         ``column_prefix`` selects a subset of columns when the row spans
         several joined tables (e.g. ``col0_``, ``col1_`` prefixes).
 
-        ``partial=True`` says the row comes from a projection-pruned SELECT
-        and may omit mapped columns.  Partial rows must not poison the
-        identity map: when the primary key is already cached, the fresh
-        column values are *merged into* the cached instance (never
-        overwriting loaded or locally modified data), and a new instance
-        built from a partial row is flagged so it lazily completes on first
-        access to an unloaded field.
+        When the primary key is already cached the cached instance is
+        returned as-is: a fresh row never overwrites it, so locally modified
+        (dirty) fields survive any query that returns the same entity.
         """
         mapping = self._mapping.entity(entity_name)
         values: dict[str, object] = {}
@@ -289,43 +284,12 @@ class EntityManager:
         primary_key = values.get(key_column)
         identity_key = (entity_name, primary_key)
         if primary_key is not None and identity_key in self._identity_map:
-            cached = self._identity_map[identity_key]
-            cached._merge_row(values)
-            return cached
+            return self._identity_map[identity_key]
         entity_class = self.entity_class(entity_name)
-        instance = entity_class._from_row(self, values, partial=partial)
+        instance = entity_class._from_row(self, values)
         if primary_key is not None:
             self._identity_map[identity_key] = instance
         return instance
-
-    def _complete_entity(self, entity: Entity) -> None:
-        """Load the full row of a partially loaded entity (one PK lookup).
-
-        Called lazily by :meth:`Entity._column_value` the first time an
-        unloaded field is read; the fetched values are merged, so loaded and
-        dirty data always win over the re-read row.
-        """
-        mapping = type(entity)._mapping
-        primary_key = entity.primary_key_value
-        if primary_key is None:
-            return
-        sql = self._find_sql.get(mapping.entity_name)
-        if sql is None:
-            sql = self._find_sql[mapping.entity_name] = (
-                f"SELECT A.* FROM {mapping.table} AS A "
-                f"WHERE A.{mapping.primary_key.column} = ?"
-            )
-        result = self.execute_sql(sql, (primary_key,))
-        if not result.rows:
-            # The row is gone (concurrent delete): stop retrying completion,
-            # the unloaded fields simply read as None.
-            object.__setattr__(entity, "_partial", False)
-            return
-        values = {
-            column.lower(): value
-            for column, value in zip(result.columns, result.rows[0])
-        }
-        entity._merge_row(values)
 
     # -- relationship navigation -------------------------------------------------------------------
 
@@ -343,9 +307,7 @@ class EntityManager:
     def _navigate_to_one(
         self, entity: Entity, relationship: RelationshipMapping
     ) -> Optional[Entity]:
-        # _column_value (not row_values) so a partially loaded entity
-        # completes itself instead of silently navigating from a missing FK.
-        foreign_key = entity._column_value(relationship.local_column)
+        foreign_key = entity._data.get(relationship.local_column.lower())
         if foreign_key is None:
             return None
         target_mapping = self._mapping.entity(relationship.target_entity)
@@ -368,7 +330,7 @@ class EntityManager:
         mapping: EntityMapping,
         relationship: RelationshipMapping,
     ) -> QuerySet:
-        local_value = entity._column_value(relationship.local_column)
+        local_value = entity._data.get(relationship.local_column.lower())
         target_mapping = self._mapping.entity(relationship.target_entity)
         sql = (
             f"SELECT A.* FROM {target_mapping.table} AS A "

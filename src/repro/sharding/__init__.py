@@ -11,8 +11,8 @@ dbapi driver and ORM all run against the fleet.
   sharded table's partition key to a shard by deterministic hash.
 * :mod:`~repro.sharding.router` — statement classification: single-shard,
   fan-out + merge, gather (multi-shard join), or broadcast.
-* :mod:`~repro.sharding.sqlgen` — AST-to-SQL rendering with parameters
-  inlined, for the rewritten per-shard statements.
+* :mod:`~repro.sharding.sqlgen` — AST-to-SQL rendering for the rewritten
+  per-shard statements; parameters stay ``?`` placeholders.
 * :mod:`~repro.sharding.journal` — the coordinator's durable decision log
   for two-phase commit (in-doubt recovery).
 * :mod:`~repro.sharding.coordinator` — the facade: routed execution,

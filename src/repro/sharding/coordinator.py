@@ -19,7 +19,9 @@ Execution model, by route (see :mod:`repro.sharding.router`):
   ``SUM``+``COUNT``) and re-aggregate on the coordinator; ordered scans
   push ``ORDER BY`` plus ``LIMIT limit+offset`` and k-way merge on the
   coordinator using the engine's own sort-key semantics; plain scans
-  union.
+  union.  Rewritten statements keep their ``?`` placeholders and ship
+  the bound values alongside (see :mod:`repro.sharding.sqlgen`), so one
+  statement shape is one plan on every shard.
 * ``gather`` — multi-shard joins pull the referenced table slices into a
   scratch in-memory engine and execute the original statement locally
   (correctness backstop; per-table single-binding conjuncts are pushed
@@ -44,6 +46,8 @@ import itertools
 import threading
 import time
 import uuid
+from dataclasses import replace
+from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
@@ -157,16 +161,14 @@ class _AggregatePlan:
         #: Output column names, matching the engine's naming rule
         #: (alias or ``func{position}``).
         self.names = names
-        #: Rendered per-shard select items (partial aggregates).
+        #: Per-shard select items (partial aggregates).
         self.push_items = push_items
         #: Per output column: ("COUNT"|"SUM"|"MIN"|"MAX", pos) or
         #: ("AVG", sum_pos, count_pos) into the pushed row.
         self.specs = specs
 
 
-def _aggregate_plan(
-    statement: ast.SelectStatement, params: Sequence[object]
-) -> Optional[_AggregatePlan]:
+def _aggregate_plan(statement: ast.SelectStatement) -> Optional[_AggregatePlan]:
     """The partial-aggregate pushdown plan, or None for non-aggregates.
 
     Mirrors the planner's ungrouped-aggregate validation so a sharded
@@ -180,8 +182,14 @@ def _aggregate_plan(
     if not has_aggregate:
         return None
     names: list[str] = []
-    push_items: list[str] = []
+    push_items: list[ast.SelectItem] = []
     specs: list[tuple] = []
+
+    def push(function: str, *args: ast.Expression) -> int:
+        call = ast.FunctionCall(function, tuple(args), star=not args)
+        push_items.append(ast.SelectItem(call, alias=f"__p{len(push_items)}"))
+        return len(push_items) - 1
+
     for position, item in enumerate(statement.items):
         expression = item.expression
         if not isinstance(expression, ast.FunctionCall) or (
@@ -198,23 +206,26 @@ def _aggregate_plan(
                 if expression.star:
                     raise SqlExecutionError(f"{function}(*) is not valid SQL")
                 raise SqlExecutionError(f"{function} requires an argument")
-            push_items.append(f"COUNT(*) AS __p{len(push_items)}")
-            specs.append(("COUNT", len(push_items) - 1))
+            specs.append(("COUNT", push("COUNT")))
             continue
         if len(expression.args) != 1:
             raise SqlExecutionError(f"{function} takes exactly one argument")
-        argument = sqlgen.render_expression(expression.args[0], params)
+        argument = expression.args[0]
         if function == "AVG":
-            push_items.append(f"SUM({argument}) AS __p{len(push_items)}")
-            sum_position = len(push_items) - 1
-            push_items.append(f"COUNT({argument}) AS __p{len(push_items)}")
-            specs.append(("AVG", sum_position, len(push_items) - 1))
+            specs.append(("AVG", push("SUM", argument), push("COUNT", argument)))
         else:
-            push_items.append(
-                f"{function}({argument}) AS __p{len(push_items)}"
-            )
-            specs.append((function, len(push_items) - 1))
-    return _AggregatePlan(names, push_items, specs)
+            specs.append((function, push(function, argument)))
+    return _AggregatePlan(names, tuple(push_items), specs)
+
+
+def _aggregate_push(
+    statement: ast.SelectStatement, plan: _AggregatePlan
+) -> ast.SelectStatement:
+    """The per-shard partial-aggregate statement: no ordering or bounds
+    (an ungrouped aggregate has one row; they apply after the merge)."""
+    return replace(
+        statement, items=plan.push_items, order_by=(), limit=None, offset=None
+    )
 
 
 def _merge_aggregates(
@@ -798,19 +809,15 @@ class ShardedSession:
         params: Sequence[object],
         route: Route,
     ) -> ResultSet:
-        plan = _aggregate_plan(statement, params)
+        plan = _aggregate_plan(statement)
         limit = _constant_int(statement.limit, params)
         offset = _constant_int(statement.offset, params) or 0
         if plan is not None:
-            push_sql = sqlgen.render_select(
-                statement,
-                params,
-                items=plan.push_items,
-                drop_order=True,
-                drop_limit=True,
+            push_sql, push_values = sqlgen.render_select(
+                _aggregate_push(statement, plan), params
             )
             shard_results = self._run_on_shards(
-                route.shards, lambda _shard: push_sql, ()
+                route.shards, lambda _shard: push_sql, push_values
             )
             rows = [_merge_aggregates(plan, [r.rows[0] for r in shard_results])]
             rows = rows[offset:]
@@ -822,22 +829,29 @@ class ShardedSession:
         if statement.distinct and statement.order_by:
             # Hidden merge keys would change what DISTINCT deduplicates.
             raise _Unmergeable()
-        hidden = [
-            f"{sqlgen.render_expression(item.expression, params)} AS __ord{i}"
+        # Each shard returns its first limit+offset rows, with the sort
+        # keys as hidden trailing columns for the k-way merge; the exact
+        # bounds are re-applied after the merge.
+        hidden = tuple(
+            ast.SelectItem(item.expression, alias=f"__ord{i}")
             for i, item in enumerate(statement.order_by)
-        ]
-        push_items = None
-        if hidden:
-            push_items = [
-                sqlgen.render_select_item(item, params)
-                for item in statement.items
-            ] + hidden
-        push_limit = limit + offset if limit is not None else None
-        push_sql = sqlgen.render_select(
-            statement, params, items=push_items, limit=push_limit, offset=0
+        )
+        push_params = tuple(params)
+        push_limit = None
+        if limit is not None:
+            push_limit = ast.Parameter(len(push_params))
+            push_params += (limit + offset,)
+        push_sql, push_values = sqlgen.render_select(
+            replace(
+                statement,
+                items=statement.items + hidden,
+                limit=push_limit,
+                offset=None,
+            ),
+            push_params,
         )
         shard_results = self._run_on_shards(
-            route.shards, lambda _shard: push_sql, ()
+            route.shards, lambda _shard: push_sql, push_values
         )
         columns = list(shard_results[0].columns)
         if statement.order_by:
@@ -899,32 +913,30 @@ class ShardedSession:
         refs = [
             ref for ref in statement.tables if ref.table.lower() == table
         ]
-        slice_sql = f"SELECT * FROM {table}"
+        slice_statement = ast.SelectStatement(
+            items=(ast.SelectItem(star=True),), tables=(ast.TableRef(table),)
+        )
         if len(refs) == 1:
             # A single binding lets us push its conjuncts into the slice
             # fetch; with several (a self-join) the slices would need a
             # union anyway, so fetch the whole table once.
             ref = refs[0]
-            if ref.alias:
-                slice_sql += f" AS {ref.alias}"
             pushable = [
                 conjunct
                 for conjunct in split_conjuncts(statement.where)
                 if _only_references(conjunct, ref.binding.lower())
             ]
-            if pushable:
-                slice_sql += " WHERE " + " AND ".join(
-                    f"({sqlgen.render_expression(conjunct, params)})"
-                    for conjunct in pushable
-                )
+            where = reduce(partial(ast.BinaryOp, "AND"), pushable) if pushable else None
+            slice_statement = replace(slice_statement, tables=(ref,), where=where)
+        slice_sql, slice_values = sqlgen.render_select(slice_statement, params)
         if db.shard_map.is_sharded(table):
             results = self._run_on_shards(
-                tuple(range(db.num_shards)), lambda _shard: slice_sql, ()
+                tuple(range(db.num_shards)), lambda _shard: slice_sql, slice_values
             )
             return [row for result in results for row in result.rows]
         session, temporary = self._checkout(self._pick_any())
         try:
-            return list(self._shard_execute(session, slice_sql, ()).rows)
+            return list(self._shard_execute(session, slice_sql, slice_values).rows)
         finally:
             if temporary:
                 session.close()
@@ -995,15 +1007,14 @@ class ShardedSession:
                 (
                     shard,
                     session,
-                    sqlgen.render_insert(
+                    *sqlgen.render_insert(
                         statement,
                         params,
-                        rows=[
+                        [
                             statement.rows[index]
                             for index in route.insert_groups[shard]
                         ],
                     ),
-                    (),
                 )
                 for shard, session in sessions
             ]
@@ -1296,7 +1307,7 @@ class ShardedDatabase:
             raise SqlExecutionError("only SELECT statements can be planned")
         route = self._router().route_select(statement, None)
         n = self.num_shards
-        shard_sql = sqlgen.render_select(statement, None)
+        shard_sql, _ = sqlgen.render_select(statement, None)
         if route.kind == SINGLE:
             header = f"shards=1 ({route.description})"
             target = route.shards[0]
@@ -1306,14 +1317,10 @@ class ShardedDatabase:
         elif route.kind == FANOUT:
             header = f"shards={n} (fanout+merge; {route.description})"
             target = 0
-            plan = _aggregate_plan(statement, None)
+            plan = _aggregate_plan(statement)
             if plan is not None:
-                shard_sql = sqlgen.render_select(
-                    statement,
-                    None,
-                    items=plan.push_items,
-                    drop_order=True,
-                    drop_limit=True,
+                shard_sql, _ = sqlgen.render_select(
+                    _aggregate_push(statement, plan), None
                 )
                 header += "\nmerge: re-aggregate partials on coordinator"
             elif statement.order_by:

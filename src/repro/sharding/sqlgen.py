@@ -2,15 +2,17 @@
 
 The coordinator parses each incoming statement once, classifies it, and
 then sends (possibly rewritten) statements to the shard nodes over the
-ordinary wire protocol — which carries SQL text.  This module is the
-inverse of the parser for the supported dialect.
+ordinary wire protocol.  This module is the inverse of the parser for the
+supported dialect.
 
-Parameters are inlined as literals at render time: the coordinator binds
-``?`` placeholders against the caller-supplied argument tuple so each
-shard receives a self-contained statement.  That keeps the fan-out logic
-independent of how many shards a parameterized statement ultimately
-reaches (each rewritten fragment may keep a different subset of the
-original conjuncts).
+Parameters stay placeholders: every ``?`` renders as ``?`` and its bound
+value is collected in text order, so each render returns ``(sql, values)``
+for the shard to execute.  A statement shape is then the same SQL text
+whatever its parameter values, and each shard parses and plans it once
+(its plan cache is keyed by SQL text).  Rewrites are expressed as edited
+statements (``dataclasses.replace`` on the frozen AST): a value the
+coordinator computes, such as a pushed-down ``LIMIT``, is appended to the
+parameter tuple and referenced by an extra :class:`~ast.Parameter`.
 """
 
 from __future__ import annotations
@@ -34,161 +36,119 @@ def render_value(value: object) -> str:
     raise ShardError(f"cannot render {type(value).__name__} value as SQL")
 
 
-def render_expression(expr: ast.Expression, params: Sequence[object]) -> str:
-    """SQL text for an expression, with ``?`` parameters inlined."""
+def render_expression(
+    expr: ast.Expression,
+    params: Optional[Sequence[object]],
+    values: list[object],
+) -> str:
+    """SQL text for an expression; appends each ``?``'s bound value to
+    ``values`` in text order.  ``params=None`` (EXPLAIN, which plans
+    without bindings) renders the placeholders and binds nothing."""
     if isinstance(expr, ast.Literal):
         return render_value(expr.value)
     if isinstance(expr, ast.Parameter):
-        if params is None:
-            # EXPLAIN renders without bindings: keep the placeholder (the
-            # engine plans parameterized statements without values too).
-            return "?"
-        if expr.index >= len(params):
-            raise ShardError(
-                f"statement references parameter {expr.index + 1} but only "
-                f"{len(params)} values were bound"
-            )
-        return render_value(params[expr.index])
+        if params is not None:
+            if expr.index >= len(params):
+                raise ShardError(
+                    f"statement references parameter {expr.index + 1} but only "
+                    f"{len(params)} values were bound"
+                )
+            values.append(params[expr.index])
+        return "?"
     if isinstance(expr, ast.ColumnRef):
         if expr.table:
             return f"{expr.table}.{expr.column}"
         return expr.column
     if isinstance(expr, ast.UnaryOp):
-        operand = render_expression(expr.operand, params)
+        operand = render_expression(expr.operand, params, values)
         if expr.op.upper() == "NOT":
             return f"(NOT {operand})"
         return f"({expr.op}{operand})"
     if isinstance(expr, ast.BinaryOp):
-        left = render_expression(expr.left, params)
-        right = render_expression(expr.right, params)
+        left = render_expression(expr.left, params, values)
+        right = render_expression(expr.right, params, values)
         return f"({left} {expr.op} {right})"
     if isinstance(expr, ast.IsNull):
-        operand = render_expression(expr.operand, params)
+        operand = render_expression(expr.operand, params, values)
         return f"({operand} IS {'NOT ' if expr.negated else ''}NULL)"
     if isinstance(expr, ast.InList):
-        operand = render_expression(expr.operand, params)
-        items = ", ".join(render_expression(item, params) for item in expr.items)
+        operand = render_expression(expr.operand, params, values)
+        items = ", ".join(
+            render_expression(item, params, values) for item in expr.items
+        )
         return f"({operand} {'NOT ' if expr.negated else ''}IN ({items}))"
     if isinstance(expr, ast.FunctionCall):
         if expr.star:
             return f"{expr.name}(*)"
-        args = ", ".join(render_expression(arg, params) for arg in expr.args)
+        args = ", ".join(render_expression(arg, params, values) for arg in expr.args)
         return f"{expr.name}({args})"
     raise ShardError(f"cannot render expression node {type(expr).__name__}")
 
 
-def render_select_item(item: ast.SelectItem, params: Sequence[object]) -> str:
+def _render_select_item(
+    item: ast.SelectItem, params: Optional[Sequence[object]], values: list[object]
+) -> str:
     if item.star:
         return "*"
     if item.table_star is not None:
         return f"{item.table_star}.*"
     assert item.expression is not None
-    text = render_expression(item.expression, params)
+    text = render_expression(item.expression, params, values)
     if item.alias:
         text += f" AS {item.alias}"
     return text
 
 
-def render_order_item(item: ast.OrderItem, params: Sequence[object]) -> str:
-    text = render_expression(item.expression, params)
-    if item.descending:
-        text += " DESC"
-    return text
-
-
 def render_select(
-    statement: ast.SelectStatement,
-    params: Sequence[object],
-    *,
-    items: Optional[Sequence[str]] = None,
-    where: Optional[str] = None,
-    order_by: Optional[Sequence[str]] = None,
-    limit: Optional[int] = None,
-    offset: Optional[int] = None,
-    drop_order: bool = False,
-    drop_limit: bool = False,
-) -> str:
-    """SQL for a SELECT, with override hooks for per-shard rewrites.
-
-    ``items`` / ``where`` / ``order_by`` replace the corresponding clause
-    with pre-rendered text; ``limit`` / ``offset`` replace the bounds with
-    explicit integers (the fan-out path pushes ``LIMIT limit+offset`` to
-    each shard and re-applies the exact bounds after the merge).
-    ``drop_order`` / ``drop_limit`` omit the clause entirely.
-    """
-    if items is None:
-        items = [render_select_item(item, params) for item in statement.items]
+    statement: ast.SelectStatement, params: Optional[Sequence[object]]
+) -> tuple[str, list[object]]:
+    """``(sql, values)`` for a SELECT: the text with ``?`` placeholders
+    and their bound values in text order."""
+    values: list[object] = []
     parts = ["SELECT "]
     if statement.distinct:
         parts.append("DISTINCT ")
-    parts.append(", ".join(items))
+    parts.append(
+        ", ".join(
+            _render_select_item(item, params, values) for item in statement.items
+        )
+    )
     if statement.tables:
         tables = ", ".join(
             f"{ref.table} AS {ref.alias}" if ref.alias else ref.table
             for ref in statement.tables
         )
         parts.append(f" FROM {tables}")
-    if where is None and statement.where is not None:
-        where = render_expression(statement.where, params)
-    if where:
-        parts.append(f" WHERE {where}")
-    if not drop_order:
-        if order_by is None and statement.order_by:
-            order_by = [render_order_item(item, params) for item in statement.order_by]
-        if order_by:
-            parts.append(" ORDER BY " + ", ".join(order_by))
-    if not drop_limit:
-        if limit is None and statement.limit is not None:
-            limit_text = render_expression(statement.limit, params)
-        elif limit is not None:
-            limit_text = str(limit)
-        else:
-            limit_text = None
-        if limit_text is not None:
-            parts.append(f" LIMIT {limit_text}")
-        if offset is None and statement.offset is not None:
-            offset_text = render_expression(statement.offset, params)
-        elif offset is not None and offset > 0:
-            offset_text = str(offset)
-        else:
-            offset_text = None
-        if offset_text is not None:
-            parts.append(f" OFFSET {offset_text}")
-    return "".join(parts)
+    if statement.where is not None:
+        parts.append(" WHERE " + render_expression(statement.where, params, values))
+    if statement.order_by:
+        order_by = []
+        for item in statement.order_by:
+            text = render_expression(item.expression, params, values)
+            order_by.append(text + " DESC" if item.descending else text)
+        parts.append(" ORDER BY " + ", ".join(order_by))
+    if statement.limit is not None:
+        parts.append(" LIMIT " + render_expression(statement.limit, params, values))
+    if statement.offset is not None:
+        parts.append(" OFFSET " + render_expression(statement.offset, params, values))
+    return "".join(parts), values
 
 
 def render_insert(
     statement: ast.InsertStatement,
     params: Sequence[object],
-    rows: Optional[Sequence[tuple]] = None,
-) -> str:
-    """SQL for an INSERT; ``rows`` restricts to a subset of the VALUES
-    tuples (the router splits multi-row inserts per owning shard)."""
-    if rows is None:
-        rows = statement.rows
+    rows: Sequence[tuple],
+) -> tuple[str, list[object]]:
+    """``(sql, values)`` for an INSERT of a subset of its VALUES tuples
+    (the router splits multi-row inserts per owning shard)."""
+    values: list[object] = []
     rendered = ", ".join(
-        "(" + ", ".join(render_expression(expr, params) for expr in row) + ")"
+        "("
+        + ", ".join(render_expression(expr, params, values) for expr in row)
+        + ")"
         for row in rows
     )
     columns = ""
     if statement.columns:
         columns = " (" + ", ".join(statement.columns) + ")"
-    return f"INSERT INTO {statement.table}{columns} VALUES {rendered}"
-
-
-def render_update(statement: ast.UpdateStatement, params: Sequence[object]) -> str:
-    assignments = ", ".join(
-        f"{column} = {render_expression(expr, params)}"
-        for column, expr in statement.assignments
-    )
-    text = f"UPDATE {statement.table} SET {assignments}"
-    if statement.where is not None:
-        text += f" WHERE {render_expression(statement.where, params)}"
-    return text
-
-
-def render_delete(statement: ast.DeleteStatement, params: Sequence[object]) -> str:
-    text = f"DELETE FROM {statement.table}"
-    if statement.where is not None:
-        text += f" WHERE {render_expression(statement.where, params)}"
-    return text
+    return f"INSERT INTO {statement.table}{columns} VALUES {rendered}", values

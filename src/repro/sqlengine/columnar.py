@@ -630,15 +630,12 @@ def compile_columnwise(
         negated = conjunct.negated
 
         def in_list(cols: dict, sel, params: Params) -> list:
-            options = tuple(
-                value
-                for value in (
-                    evaluate((), params) for evaluate in item_evaluators
-                )
-                if value is not None
-            )
+            values = [evaluate((), params) for evaluate in item_evaluators]
+            options = tuple(value for value in values if value is not None)
             col = cols[slot]
             if negated:
+                if len(options) < len(values):
+                    return []  # a NULL item: NOT IN is never TRUE
                 return [
                     i for i in sel if col[i] is not None and col[i] not in options
                 ]

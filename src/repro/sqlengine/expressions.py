@@ -36,7 +36,6 @@ _ARITHMETIC_OPS: dict[str, Callable[[object, object], object]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "%": operator.mod,
 }
 
 _COMPARISON_OPS: dict[str, Callable[[object, object], bool]] = {
@@ -190,7 +189,8 @@ class ExpressionCompiler:
                     return None
                 return _like_to_regex(str(pattern)).match(str(value)) is not None
             return eval_like
-        if op == "/":
+        if op in ("/", "%"):
+            divide = operator.truediv if op == "/" else operator.mod
             def eval_divide(env: RowEnv, params: Params) -> object:
                 left_value = left(env, params)
                 right_value = right(env, params)
@@ -198,7 +198,7 @@ class ExpressionCompiler:
                     return None
                 if right_value == 0:
                     raise SqlExecutionError("division by zero")
-                return left_value / right_value  # type: ignore[operator]
+                return divide(left_value, right_value)
             return eval_divide
         if op in _ARITHMETIC_OPS:
             func = _ARITHMETIC_OPS[op]
@@ -231,16 +231,19 @@ class ExpressionCompiler:
         items = [self.compile(item) for item in expression.items]
         negated = expression.negated
         def eval_in(env: RowEnv, params: Params) -> object:
+            # Three-valued: a match decides; otherwise a NULL item makes
+            # the result UNKNOWN (so NOT IN (1, NULL) is never TRUE).
             value = operand(env, params)
             if value is None:
                 return None
-            values = [item(env, params) for item in items]
-            found = any(
-                value == other
-                for other in values
-                if other is not None
-            )
-            return (not found) if negated else found
+            saw_null = False
+            for item in items:
+                other = item(env, params)
+                if other is None:
+                    saw_null = True
+                elif value == other:
+                    return not negated
+            return None if saw_null else negated
         return eval_in
 
     def _compile_function(self, expression: ast.FunctionCall) -> Evaluator:

@@ -363,9 +363,9 @@ class TpcwBenchmark:
         ``OptimizerOptions(optimize=False)`` — executes both against the
         populated database and reports, per variant, the SELECT-list width
         (``columns``), the average row payload in bytes (``bytes_per_row``,
-        UTF-8 length of every value) and the row count.  This makes the
-        projection-pruning win machine-readable alongside the throughput
-        numbers.
+        UTF-8 length of every value) and the row count.  Entity outputs are
+        full-width in both variants, so ``width_ratio`` reads 1.0: the
+        optimizer changes predicates, not what a row carries.
         """
         from repro.core.optimizer import OptimizerOptions
         from repro.core.pipeline import QueryllPipeline

@@ -17,7 +17,6 @@ from repro.core.optimizer.rules import (
     decompose_selection,
     eliminate_duplicates,
     merge_ranges,
-    prune_projection,
     push_join_conditions,
     simplify_predicate,
     split_conjuncts,
@@ -34,6 +33,7 @@ from repro.core.querytree.nodes import (
     SqlParam,
     clone_tree,
 )
+from repro.core.sqlgen.generator import SqlGenerator
 from repro.testing import make_bank_mapping
 
 
@@ -276,44 +276,42 @@ class TestEliminateDuplicates:
         assert result.join_conditions == [eq(col("A", "ClientID"), col("B", "ClientID"))]
 
 
-class TestPruneProjection:
-    def test_collects_output_predicate_and_ordering_columns(
-        self, account_client_tree, context
+class TestEntityOutputsAreFullWidth:
+    """An entity output escapes the loop, so nothing narrows its SELECT
+    list; column outputs still select only what they project."""
+
+    def generate(self, tree: QueryTree):
+        mapping = make_bank_mapping()
+        optimized = Optimizer(mapping).optimize(tree).tree
+        return SqlGenerator(mapping).generate(optimized)
+
+    def test_entity_output_selects_every_mapped_column(self) -> None:
+        tree = QueryTree()
+        tree.add_binding("Account", "Account")
+        tree.output = EntityOutput("A", "Account")
+        generated = self.generate(tree)
+        assert generated.select_items == [
+            "(A.ACCOUNTID) AS A_ACCOUNTID",
+            "(A.CLIENTID) AS A_CLIENTID",
+            "(A.BALANCE) AS A_BALANCE",
+            "(A.MINBALANCE) AS A_MINBALANCE",
+        ]
+
+    def test_column_output_selects_only_its_expression(
+        self, account_client_tree
     ) -> None:
         tree = account_client_tree
         tree.where = eq(col("B", "Country"), SqlLiteral("Canada"))
         tree.join_conditions = [eq(col("A", "ClientID"), col("B", "ClientID"))]
-        tree.order_by = [(col("B", "PostalCode"), False)]
-        result = prune_projection(tree, context)
-        assert result is not None
-        # Client (entity output): pk + predicate/join/order columns.
-        assert result.required_columns["B"] == frozenset(
-            {"clientid", "country", "postalcode"}
-        )
-        # Account (column output only): the consumed columns.
-        assert result.required_columns["A"] == frozenset({"balance", "clientid"})
+        generated = self.generate(tree)
+        # Client (entity output): all five columns; Account (column output):
+        # just the projected balance, never the predicate/join columns.
+        assert len(generated.select_items) == 5 + 1
+        assert generated.select_items[-1] == "((A.BALANCE)) AS COL0"
 
-    def test_entity_output_keeps_to_one_foreign_keys(self, context) -> None:
-        tree = QueryTree()
-        tree.add_binding("Account", "Account")
-        tree.output = EntityOutput("A", "Account")
-        result = prune_projection(tree, context)
-        assert result is not None
-        # AccountID is the pk, ClientID the holder FK; Balance/MinBalance
-        # are not consumed by anything and get pruned.
-        assert result.required_columns["A"] == frozenset({"accountid", "clientid"})
-
-    def test_disabled_by_option(self, account_client_tree) -> None:
-        context = RuleContext(
-            mapping=make_bank_mapping(),
-            options=OptimizerOptions(prune_projections=False),
-        )
-        assert prune_projection(account_client_tree, context) is None
-
-    def test_idempotent_once_computed(self, account_client_tree, context) -> None:
-        first = prune_projection(account_client_tree, context)
-        assert first is not None
-        assert prune_projection(first, context) is None
+    def test_no_rule_in_the_catalog_touches_outputs(self, account_client_tree) -> None:
+        result = Optimizer(make_bank_mapping()).optimize(account_client_tree)
+        assert result.tree.output == account_client_tree.output
 
 
 class TestFixedPointDriver:
@@ -337,7 +335,6 @@ class TestFixedPointDriver:
         assert result.passes <= OptimizerOptions().max_passes
         assert result.fire_counts["push-join-conditions"] >= 1
         assert result.fire_counts["merge-ranges"] >= 1
-        assert result.fire_counts["prune-projection"] >= 1
         # Fixed point: a second run over the result changes nothing.
         again = optimizer.optimize(result.tree)
         assert not again.fired

@@ -1,6 +1,8 @@
-"""End-to-end projection pruning: the paper's four TPC-W queries emit
-narrow SELECT lists, results are unchanged, and partially loaded entities
-complete lazily without poisoning the identity map."""
+"""Projection of the paper's four TPC-W queries: entity outputs escape the
+loop into the returned QuerySet, so they select every mapped column and
+the caller's field reads cost no further statement.  Column outputs select
+only what they project.  The identity map stays authoritative: a cached
+(possibly dirty) instance is never overwritten by a fresh row."""
 
 from __future__ import annotations
 
@@ -32,63 +34,46 @@ def _selected_columns(sql: str) -> set[str]:
     return set(re.findall(r"\(([A-Z]\d?\.[A-Z0-9_]+)\)", select_list))
 
 
-class TestTpcwSelectListsAreNarrow:
-    """Acceptance: generated SQL contains only columns consumed by
-    outputs, predicates and ordering (plus pk/FK for entity identity)."""
+def _entity_columns(alias: str, entity: str) -> set[str]:
+    mapping = tpcw_mapping().entity(entity)
+    return {f"{alias}.{field.column.upper()}" for field in mapping.fields}
+
+
+class TestTpcwSelectLists:
+    """Entity outputs are full-width (the paper's Table 5 shape); a query
+    that projects columns selects exactly those columns."""
 
     def test_get_name_selects_exactly_the_two_output_columns(self) -> None:
         generated = _generated(queries_queryll.get_name_loop)
         assert _selected_columns(generated.sql) == {"A.C_FNAME", "A.C_LNAME"}
 
-    def test_get_customer_prunes_unconsumed_customer_columns(self) -> None:
+    def test_get_customer_selects_every_customer_address_country_column(self) -> None:
         generated = _generated(queries_queryll.get_customer_loop)
-        selected = _selected_columns(generated.sql)
-        # Consumed: predicate (uname), identity keys and join FKs.
-        assert selected == {
-            "A.C_ID", "A.C_UNAME", "A.C_ADDR_ID",
-            "B.ADDR_ID", "B.ADDR_CO_ID",
-            "C.CO_ID",
-        }
-        # The wide, never-consumed columns of the unoptimized SQL are gone.
-        for column in ("A.C_PHONE", "A.C_EMAIL", "A.C_DISCOUNT", "B.ADDR_ZIP",
-                       "C.CO_EXCHANGE"):
-            assert column not in selected
+        assert _selected_columns(generated.sql) == (
+            _entity_columns("A", "Customer")
+            | _entity_columns("B", "Address")
+            | _entity_columns("C", "Country")
+        )
 
-    def test_do_subject_search_prunes_item_and_author_width(self) -> None:
+    def test_do_subject_search_selects_full_item_and_author(self) -> None:
         generated = _generated(queries_queryll.do_subject_search_loop)
-        selected = _selected_columns(generated.sql)
-        assert "A.I_DESC" not in selected
-        assert "A.I_IMAGE" not in selected
-        assert "B.A_BIO" not in selected
-        assert {"A.I_ID", "A.I_SUBJECT", "A.I_A_ID", "B.A_ID"} <= selected
+        assert _selected_columns(generated.sql) == (
+            _entity_columns("A", "Item") | _entity_columns("B", "Author")
+        )
 
-    def test_do_get_related_prunes_five_way_self_join_width(self) -> None:
+    def test_do_get_related_selects_the_five_related_items_in_full(self) -> None:
         generated = _generated(queries_queryll.do_get_related_loop)
-        selected = _selected_columns(generated.sql)
-        # 7 identity/FK columns per output item binding instead of all 23.
+        expected: set[str] = set()
         for letter in "BCDEF":
-            assert f"{letter}.I_ID" in selected
-            assert f"{letter}.I_TITLE" not in selected
-            assert f"{letter}.I_DESC" not in selected
-        # The source binding A is only consumed by predicates/joins.
-        assert not any(column.startswith("A.I_TITLE") for column in selected)
+            expected |= _entity_columns(letter, "Item")
+        # The source binding A is only consumed by predicates and joins.
+        assert _selected_columns(generated.sql) == expected
 
-    def test_every_selected_column_is_in_the_required_sets(self) -> None:
-        pipeline = QueryllPipeline(tpcw_mapping())
-        for name, function in queries_queryll.QUERY_FUNCTIONS.items():
-            report = pipeline.analyze_method(lower_function(function.original))
-            rewritten = report.queries[0]
-            required = rewritten.tree.required_columns
-            assert required is not None, name
-            for reference in _selected_columns(rewritten.generated.sql):
-                alias, _, column = reference.partition(".")
-                assert column.lower() in required[alias], (name, reference)
-
-    def test_ablation_restores_full_width(self) -> None:
-        optimized = _generated(queries_queryll.do_get_related_loop)
-        unoptimized = _generated(queries_queryll.do_get_related_loop, optimize=False)
-        assert len(unoptimized.select_items) > len(optimized.select_items)
-        assert "B.I_TITLE" in _selected_columns(unoptimized.sql)
+    def test_optimizer_changes_predicates_not_select_lists(self) -> None:
+        for function in queries_queryll.QUERY_FUNCTIONS.values():
+            optimized = _generated(function)
+            unoptimized = _generated(function, optimize=False)
+            assert optimized.select_items == unoptimized.select_items
 
 
 class TestOptimizedResultsUnchanged:
@@ -121,51 +106,43 @@ class TestOptimizedResultsUnchanged:
         assert optimized["co_name"] == pair.getSecond().getSecond().name
 
 
-class TestPartialEntityIdentityMapSafety:
+class TestEntityOutputsAndTheIdentityMap:
     @pytest.fixture(scope="class")
     def tpcw(self):
         return build_database(PopulationScale.tiny())
 
-    def test_partial_entity_lazily_completes(self, tpcw) -> None:
+    def test_reading_any_field_of_a_result_costs_no_statement(self, tpcw) -> None:
         em = tpcw.entity_manager()
         rows = queries_queryll.do_get_related_loop(em, 1).to_list()
         assert rows
-        item = rows[0][0]
-        assert item.is_partially_loaded
         before = em.queries_executed
-        title = item.title  # not in the pruned SELECT -> one pk lookup
-        assert isinstance(title, str) and title
-        assert em.queries_executed == before + 1
-        assert not item.is_partially_loaded
-        # Further pruned-field reads are served from memory.
-        assert item.thumbnail is not None
-        assert em.queries_executed == before + 1
+        for item in rows[0]:
+            if item is not None:
+                assert isinstance(item.title, str) and item.title
+                assert item.thumbnail is not None
+                assert item.cost is not None
+        assert em.queries_executed == before
 
-    def test_partial_entity_does_not_poison_find(self, tpcw) -> None:
+    def test_result_entity_is_the_identity_map_instance(self, tpcw) -> None:
         em = tpcw.entity_manager()
-        partial = queries_queryll.do_get_related_loop(em, 2).to_list()[0][0]
-        found = em.find("Item", partial.itemId)
-        # Identity map: same instance, and the full row was merged in.
-        assert found is partial
-        assert found.title
+        item = queries_queryll.do_get_related_loop(em, 2).to_list()[0][0]
+        before = em.queries_executed
+        assert em.find("Item", item.itemId) is item
+        assert em.queries_executed == before
 
-    def test_full_entity_is_not_degraded_by_partial_row(self, tpcw) -> None:
+    def test_cached_instance_is_returned_as_is(self, tpcw) -> None:
         em = tpcw.entity_manager()
-        # Load the full entity first ...
-        related = em.find("Item", 1)._column_value("i_related1")
-        full = em.find("Item", related)
-        assert not full.is_partially_loaded
+        related = em.find("Item", 1).related1
         queries_before = em.queries_executed
-        # ... then materialise the same pk from a pruned row.
         rows = queries_queryll.do_get_related_loop(em, 1).to_list()
-        assert any(item is full for item in rows[0] if item is not None)
-        assert full.title  # still complete, no extra lookup for this read
+        assert rows[0][0] is related
         assert em.queries_executed == queries_before + 1  # just the query
 
-    def test_merge_never_clobbers_dirty_fields(self, tpcw) -> None:
+    def test_dirty_field_survives_a_query_returning_the_same_entity(self, tpcw) -> None:
         em = tpcw.entity_manager()
-        partial = queries_queryll.do_get_related_loop(em, 3).to_list()[0][1]
-        partial.stock = 123456  # dirty, locally modified
-        partial.title  # triggers lazy completion
-        assert partial.stock == 123456  # merge did not overwrite the edit
-        assert partial in em.dirty_entities
+        item = queries_queryll.do_get_related_loop(em, 3).to_list()[0][1]
+        item.stock = 123456  # dirty, locally modified
+        again = queries_queryll.do_get_related_loop(em, 3).to_list()[0][1]
+        assert again is item
+        assert item.stock == 123456  # the fresh row did not overwrite the edit
+        assert item in em.dirty_entities

@@ -162,6 +162,31 @@ class TestEquivalence:
             db, "SELECT l.v, r.w FROM l, r WHERE l.k = r.k"
         )
 
+    def test_modulo_by_zero_is_typed_in_both_modes(self, db: Database) -> None:
+        for mode in ("batch", "row"):
+            db.set_planner_options(PlannerOptions(execution_mode=mode))
+            for sql, params in (
+                ("SELECT i_id % 0 FROM item", ()),
+                ("SELECT i_id FROM item WHERE i_grp % ? = 1", (0,)),
+                ("SELECT i_id FROM item WHERE i_grp / ? = 1", (0,)),
+            ):
+                assert db.explain(sql).startswith(f"mode={mode}")
+                with pytest.raises(SqlExecutionError, match="division by zero"):
+                    db.execute(sql, params)
+
+    def test_not_in_with_a_null_item_selects_nothing(self, db: Database) -> None:
+        for sql, params in (
+            ("SELECT i_id FROM item WHERE i_grp NOT IN (1, NULL)", ()),
+            ("SELECT i_id FROM item WHERE i_grp NOT IN (?, ?)", (1, None)),
+            ("SELECT i_id FROM item WHERE NOT (i_grp IN (1, NULL))", ()),
+        ):
+            both_modes(db, sql, params)
+            assert db.execute(sql, params).rows == []
+        # IN is unchanged: the NULL item matches nothing, 1 still matches.
+        both_modes(db, "SELECT i_id FROM item WHERE i_grp IN (1, NULL)")
+        assert len(db.execute("SELECT i_id FROM item WHERE i_grp IN (1, NULL)").rows) == 100
+        assert len(db.execute("SELECT i_id FROM item WHERE i_grp NOT IN (1, 2)").rows) == 800
+
     def test_incomparable_types_raise_in_both_modes(self, db: Database) -> None:
         for mode in ("batch", "row"):
             db.set_planner_options(PlannerOptions(execution_mode=mode))

@@ -89,6 +89,42 @@ class TestScanEquivalence:
         _run_both(database, sql, params)
 
 
+class TestInListNullEquivalence:
+    """``[NOT] IN`` with NULL list items follows three-valued logic in both
+    modes: a non-matching row against a list holding NULL is UNKNOWN, so
+    ``NOT IN`` never selects it (and ``IN`` selects only true matches)."""
+
+    @given(
+        rows=_rows_strategy,
+        items=st.lists(
+            st.one_of(st.none(), st.integers(min_value=-5, max_value=5)),
+            min_size=1,
+            max_size=4,
+        ),
+        negated=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_row_and_the_model(
+        self, rows: list[tuple], items: list, negated: bool
+    ) -> None:
+        database = _build(rows)
+        placeholders = ", ".join("?" for _ in items)
+        sql = f"SELECT a FROM t WHERE b {'NOT ' if negated else ''}IN ({placeholders})"
+        _run_both(database, sql, tuple(items))
+        options = [item for item in items if item is not None]
+        expected = sorted(
+            a
+            for a, b, _c in rows
+            if b is not None
+            and (
+                (b not in options and len(options) == len(items))
+                if negated
+                else b in options
+            )
+        )
+        assert sorted(r[0] for r in database.execute(sql, tuple(items)).rows) == expected
+
+
 class TestJoinEquivalence:
     @given(
         rows=_rows_strategy,
